@@ -157,8 +157,9 @@ let run_workload nodes bunches objects ops seed mode collect ggc dump trace
   let d = Driver.setup cfg in
   let c = Driver.cluster d in
   let net = Cluster.net c in
-  if trace then Bmx_util.Tracelog.set_enabled (Cluster.tracer c) true;
-  if emit_trace <> None || flight_dir <> None || partitions > 0 || corrupt_disk
+  if
+    trace || emit_trace <> None || flight_dir <> None || partitions > 0
+    || corrupt_disk
   then Cluster.set_event_trace c true;
   let flight =
     match flight_dir with
@@ -358,8 +359,10 @@ let run_workload nodes bunches objects ops seed mode collect ggc dump trace
   if trace then begin
     print_endline "--- last 40 trace events";
     List.iter
-      (fun e -> Format.printf "%a@." Bmx_util.Tracelog.pp_event e)
-      (Bmx_util.Tracelog.recent (Cluster.tracer c) 40)
+      (fun e -> print_endline (Bmx_util.Trace_event.to_line e))
+      (let evs = Cluster.events c in
+       let skip = List.length evs - 40 in
+       List.filteri (fun i _ -> i >= skip) evs)
   end;
   (match emit_trace with
   | None -> ()

@@ -21,7 +21,14 @@ val run :
     with no from-space to reclaim only manufactures forwarder and
     location-update churn.  Liveness is unaffected: any mutation,
     received deletion or crash bumps the epoch and the next collection
-    runs in full. *)
+    runs in full.
+
+    Both modes are kept on evidence: defaulting [economical] to true
+    fails 13 tests (test_gc [bgc] 4, test_reclaim [from-space reuse] 4,
+    test_scenarios [figure2] 1, test_dsm [data]/[invariants] 2,
+    test_cleaner [robustness] 1, test_coverage [gc edges] 1).  They check the paper's unconditional
+    evacuation — forwarding headers, the segment flip, from-space reuse —
+    which the economical mode skips when nothing is dead. *)
 
 val run_all_replicas :
   ?economical:bool -> Gc_state.t -> bunch:Bmx_util.Ids.Bunch.t

@@ -226,7 +226,7 @@ let collect_roots t ~node ~in_set ~group_mode =
 (* ------------------------------------------------------------------ *)
 (* The collection itself.                                              *)
 
-(* Per-phase wall-clock accounting (trace / flip / copy / scan /
+(* Per-phase CPU-time accounting (trace / flip / copy / scan /
    cleaner-reconcile): every boundary adds to the matching
    Perfcount.gc_ns_* counter; run emits the totals as per-node
    gc.phase.<name> histograms (µs) and, when the event log is on, as
@@ -567,14 +567,7 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
       Store.set_active_segment store ~bunch seg)
     to_spaces;
 
-  Bmx_util.Tracelog.recordf
-    (Gc_state.proto t |> Protocol.tracer)
-    ~category:"gc" "%s N%d %s: live=%d copied=%d reclaimed=%d"
-    (if group_mode then "GGC" else "BGC")
-    node
-    (String.concat "," (List.map Ids.Bunch.to_string bunches))
-    (Ids.Uid_tbl.length live) !copied !reclaimed;
-  (* Surface the per-phase wall-clock totals of this collection. *)
+  (* Surface the per-phase CPU-time totals of this collection. *)
   List.iter
     (fun phase ->
       let s = phase_s.(phase_idx phase) in

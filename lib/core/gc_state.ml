@@ -440,6 +440,16 @@ let note_bgc_epoch t ~node ~bunch =
   let ns = node_state t node in
   Ids.Bunch_tbl.replace ns.last_bgc bunch (dirty_epoch t ~node)
 
+let stubs_cover_inter t ~node ~bunch (scion : Ssp.inter_scion) =
+  match Ids.Bunch_tbl.find_opt (node_state t node).inter_stubs bunch with
+  | None -> false
+  | Some tb -> Hashtbl.mem tb.key_count (Ssp.inter_scion_key scion)
+
+let stubs_cover_intra t ~node ~bunch (scion : Ssp.intra_scion) =
+  match Ids.Bunch_tbl.find_opt (node_state t node).intra_stubs bunch with
+  | None -> false
+  | Some tb -> Hashtbl.mem tb.key_count (Ssp.intra_scion_key ~holder:node scion)
+
 let has_inter_scions_from t ~node ~bunch ~src =
   match Ids.Bunch_tbl.find_opt (node_state t node).inter_scions bunch with
   | None -> false
@@ -629,6 +639,11 @@ let mirror_covers_intra t ~node ~sender ~bunch ~holder (scion : Ssp.intra_scion)
   match mirror_find t ~node ~sender ~bunch with
   | None -> false
   | Some m -> Hashtbl.mem m.mi_intra (Ssp.intra_scion_key ~holder scion)
+
+let mirror_has_exiting t ~node ~sender ~bunch entry =
+  match mirror_find t ~node ~sender ~bunch with
+  | None -> false
+  | Some m -> Hashtbl.mem m.mi_exiting entry
 
 let mirror_exiting t ~node ~sender ~bunch =
   match mirror_find t ~node ~sender ~bunch with

@@ -126,6 +126,18 @@ val has_intra_scions_from :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
   -> src:Bmx_util.Ids.Node.t -> bool
 
+val stubs_cover_inter :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> Ssp.inter_scion -> bool
+(** Does [node]'s own stub table for [bunch] hold a stub matching this
+    scion?  O(1) match-key lookup — how the cleaner checks a node's own
+    scions against the tables its collection just regenerated. *)
+
+val stubs_cover_intra :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> Ssp.intra_scion -> bool
+(** Same for an intra-bunch scion held at [node] itself. *)
+
 val inter_stubs_with_src :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
   -> uid:Bmx_util.Ids.Uid.t -> Ssp.inter_stub list
@@ -283,6 +295,12 @@ val mirror_exiting :
   -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list
 (** The complete exiting list reassembled from fulls and deltas — what
     the entering reconciliation consumes. *)
+
+val mirror_has_exiting :
+  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
+  -> bunch:Bmx_util.Ids.Bunch.t
+  -> Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t -> bool
+(** O(1) membership in {!mirror_exiting}. *)
 
 val mirror_claims_target :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t

@@ -28,17 +28,21 @@ type table_msg = {
   tm_body : table_body;
 }
 
-(* Deltas ship match keys (four resp. three small ids per entry, 24
-   bytes) and exiting-list diffs, not full stub records and lists; the
-   header is a little larger than a full table's (basis id plus section
-   lengths). *)
+(* How many bytes a full table costs on the wire — also the
+   counterfactual the [tables.full_bytes] counter accumulates for every
+   send.  Deltas ship match keys (four resp. three small ids per entry,
+   24 bytes) and exiting-list diffs, not full stub records and lists;
+   their header is a little larger (basis id plus section lengths). *)
+let full_bytes_of ~inter ~intra ~exiting =
+  16
+  + (40 * List.length inter)
+  + (24 * List.length intra)
+  + (16 * List.length exiting)
+
 let msg_bytes m =
   match m.tm_body with
   | Full { fb_inter; fb_intra; fb_exiting } ->
-      16
-      + (40 * List.length fb_inter)
-      + (24 * List.length fb_intra)
-      + (16 * List.length fb_exiting)
+      full_bytes_of ~inter:fb_inter ~intra:fb_intra ~exiting:fb_exiting
   | Delta
       {
         db_add_inter;
@@ -53,14 +57,6 @@ let msg_bytes m =
       + (24 * (List.length db_add_inter + List.length db_del_inter))
       + (24 * (List.length db_add_intra + List.length db_del_intra))
       + (16 * (List.length db_add_exiting + List.length db_del_exiting))
-
-(* How many bytes the same broadcast would have cost as a full table —
-   the counterfactual the [tables.full_bytes] counter accumulates. *)
-let full_bytes_of ~inter ~intra ~exiting =
-  16
-  + (40 * List.length inter)
-  + (24 * List.length intra)
-  + (16 * List.length exiting)
 
 let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
 
@@ -120,12 +116,11 @@ let sync_mirror t ~at ~seq msg =
         let inter = Gc_state.inter_stubs t ~node:sender ~bunch in
         let intra = Gc_state.intra_stubs t ~node:sender ~bunch in
         let exiting = Gc_state.current_exiting t ~node:sender ~bunch in
-        if not (Ids.Node.equal sender at) then
-          Net.record_rpc (Protocol.net proto) ~src:at ~dst:sender
-            ~kind:Net.Stub_table
-            ~bytes:(full_bytes_of ~inter ~intra ~exiting)
-            ~shard:(Registry.shard_of_bunch (Protocol.registry proto) bunch)
-            ();
+        Net.record_rpc (Protocol.net proto) ~src:at ~dst:sender
+          ~kind:Net.Stub_table
+          ~bytes:(full_bytes_of ~inter ~intra ~exiting)
+          ~shard:(Registry.shard_of_bunch (Protocol.registry proto) bunch)
+          ();
         let basis =
           match Gc_state.dest_basis t ~node:sender ~bunch ~dest:at with
           | Some (_, s) -> s
@@ -137,31 +132,144 @@ let sync_mirror t ~at ~seq msg =
         Mirror_rewritten
       end
 
+(* Drop the inter-bunch scions held at [at] whose stub lived in
+   [sender]'s copy of [bunch] and that [covered] no longer vouches for.
+   Coverage is an O(1) key lookup per scion. *)
+let uncover_inter t ~at ~sender ~bunch covered =
+  List.iter
+    (fun target_bunch ->
+      if Gc_state.has_inter_scions_from t ~node:at ~bunch:target_bunch ~src:sender
+      then
+        let removed =
+          Gc_state.remove_inter_scions t ~node:at ~bunch:target_bunch
+            (fun scion ->
+              Ids.Node.equal scion.Ssp.xs_src_node sender
+              && Ids.Bunch.equal scion.Ssp.xs_src_bunch bunch
+              && not (covered scion))
+        in
+        if removed > 0 then bump t ~by:removed "gc.cleaner.inter_scions_removed")
+    (Gc_state.bunches_with_tables t ~node:at)
+
+(* Intra-bunch scions for [bunch] whose owner side is [sender]: keep only
+   those [covered] still names. *)
+let uncover_intra t ~at ~sender ~bunch covered =
+  if Gc_state.has_intra_scions_from t ~node:at ~bunch ~src:sender then begin
+    let removed =
+      Gc_state.remove_intra_scions t ~node:at ~bunch (fun scion ->
+          Ids.Node.equal scion.Ssp.xn_owner_side sender && not (covered scion))
+    in
+    if removed > 0 then bump t ~by:removed "gc.cleaner.intra_scions_removed"
+  end
+
+let addressed_to at exiting =
+  List.filter_map
+    (fun (uid, target) -> if Ids.Node.equal target at then Some uid else None)
+    exiting
+
+(* The §6.1 cleaner step for one table from [sender] about [bunch],
+   restricted to a scope: whether to re-check inter and intra scion
+   coverage, which entering uids (from [sender]) to retire if nothing
+   protects them any more, which uids the sender's exiting list claims
+   for this node, and which mirrored inter stub keys to re-assert.  A
+   full install or a resync passes everything; a cleanly applied delta
+   passes only the keys it names.  Duplicates in [retire] are harmless:
+   the first visit settles the entry and later visits see the same
+   answer. *)
+let reconcile t ~at ~seq ~sender ~bunch ~uncover_inter:do_inter
+    ~uncover_intra:do_intra ~retire ~claim ~reassert =
+  let proto = Gc_state.proto t in
+  let dir = Protocol.directory proto at in
+  let store = Protocol.store proto at in
+  if do_inter then
+    uncover_inter t ~at ~sender ~bunch
+      (Gc_state.mirror_covers_inter t ~node:at ~sender ~bunch);
+  if do_intra then
+    uncover_intra t ~at ~sender ~bunch
+      (Gc_state.mirror_covers_intra t ~node:at ~sender ~bunch ~holder:at);
+  (* Entering ownerPtrs: retire the entries the sender's (mirrored,
+     complete) exiting list no longer claims. *)
+  Perfcount.(
+    counters.gc_table_entries <- counters.gc_table_entries + List.length retire);
+  List.iter
+    (fun uid ->
+      if
+        Directory.is_entering_from dir ~uid ~from:sender
+        (* the object is of this bunch *)
+        && (match Store.addr_of_uid store uid with
+           | Some a -> (
+               match Store.resolve store a with
+               | Some (_, obj) -> Ids.Bunch.equal obj.Heap_obj.bunch bunch
+               | None -> false)
+           | None -> false)
+        && (not (Gc_state.mirror_has_exiting t ~node:at ~sender ~bunch (uid, at)))
+        (* not registered after this table was sent *)
+        && Directory.entering_registration_seq dir ~uid ~from:sender < seq
+        (* Keep-alive across owner crashes: a checkpoint-restored
+           entering entry stands in for a scion that died with this
+           node.  The sender's exiting list never named such an object —
+           its claim rides in the inter-bunch stub tables — so consult
+           the stub mirrors before retiring the entry. *)
+        && not (Gc_state.mirror_claims_target t ~node:at ~sender uid)
+      then begin
+        Directory.remove_entering dir ~uid ~from:sender;
+        bump t "gc.cleaner.entering_removed"
+      end)
+    retire;
+  List.iter (fun uid -> Directory.add_entering dir ~seq ~uid ~from:sender) claim;
+  (* The dual of the §6.1 deletion test, needed only after a crash: a
+     mirrored stub whose matching scion no longer exists here (it was
+     volatile state of a previous incarnation) leaves its target owned
+     here with no root.  Re-assert protection as a conservative entering
+     entry; it is retired through the normal reconciliation above once
+     the claimant drops the stub.  Doing this on every stub-table arrival
+     makes the repair independent of the order the sender's per-bunch
+     tables land in. *)
+  Perfcount.(
+    counters.gc_table_entries <- counters.gc_table_entries + List.length reassert);
+  List.iter
+    (fun ((_, _, _, target_uid) as key) ->
+      match Directory.find dir target_uid with
+      | Some r
+        when r.Directory.is_owner
+             && not (Directory.is_entering_from dir ~uid:target_uid ~from:sender)
+        ->
+          (* Scion presence is a by-target-uid index lookup, never a scan
+             of the bunch's whole scion table. *)
+          let scion_here =
+            match Store.addr_of_uid store target_uid with
+            | None -> false
+            | Some a -> (
+                match Store.resolve store a with
+                | None -> false
+                | Some (_, tobj) ->
+                    List.exists
+                      (fun s -> Ssp.inter_scion_key s = key)
+                      (Gc_state.inter_scions_for_uid t ~node:at
+                         ~bunch:tobj.Heap_obj.bunch ~uid:target_uid))
+          in
+          if not scion_here then begin
+            Directory.add_entering dir ~seq ~uid:target_uid ~from:sender;
+            bump t "gc.cleaner.entering_reasserted"
+          end
+      | Some _ | None -> ())
+    reassert;
+  Gc_state.sample_ssp_gauges t ~node:at
+
 let receive_untimed t ~at ~seq msg =
   let net = Protocol.net (Gc_state.proto t) in
-  let sender_dead =
-    (not (Ids.Node.equal msg.tm_sender at))
-    && Bmx_netsim.Net.is_down net msg.tm_sender
-  in
-  let sender_unreachable =
-    (not (Ids.Node.equal msg.tm_sender at))
-    && (not sender_dead)
-    && not (Net.reachable net msg.tm_sender at)
-  in
+  let sender = msg.tm_sender and bunch = msg.tm_bunch in
   let fresh =
-    match
-      Gc_state.last_table_seq t ~node:at ~sender:msg.tm_sender ~bunch:msg.tm_bunch
-    with
+    match Gc_state.last_table_seq t ~node:at ~sender ~bunch with
     | Some last -> seq > last
     | None -> true
   in
-  if sender_dead then
+  if Net.is_down net sender then
     (* Quarantine, don't clean: a table attributed to a crashed node
        reflects state that died with it.  Acting on it could drop scions
        (and thus objects) that the recovered node still needs; the next
        table the node sends after restart supersedes everything. *)
     bump t "gc.cleaner.quarantined_dead_sender"
-  else if sender_unreachable then
+  else if not (Net.reachable net sender at) then
     (* Partition quarantine: the sender is alive but cut off (e.g. an
        asymmetric cut let the table through while the return path is
        dark).  Processing it could require a resynchronising pull RPC we
@@ -173,333 +281,62 @@ let receive_untimed t ~at ~seq msg =
     bump t "gc.cleaner.quarantined_unreachable"
   else if not fresh then bump t "gc.cleaner.stale_ignored"
   else begin
-    Gc_state.record_table_seq t ~node:at ~sender:msg.tm_sender ~bunch:msg.tm_bunch
-      ~seq;
+    Gc_state.record_table_seq t ~node:at ~sender ~bunch ~seq;
     bump t "gc.cleaner.processed";
     (let evlog = Protocol.evlog (Gc_state.proto t) in
      if Trace_event.enabled evlog then
        Trace_event.record evlog
-         (Trace_event.Tables_processed
-            { at; sender = msg.tm_sender; bunch = msg.tm_bunch; seq }));
-    Bmx_util.Tracelog.recordf
-      (Protocol.tracer (Gc_state.proto t))
-      ~category:"cleaner" "N%d processed tables from N%d for B%d (seq %d)" at
-      msg.tm_sender msg.tm_bunch seq;
-    let proto = Gc_state.proto t in
-    let sender = msg.tm_sender in
-    let sync = sync_mirror t ~at ~seq msg in
-    match sync with
-    | Mirror_unchanged ->
-      (* Quiet-stream fast path: an empty delta on a matching basis left
-         the mirror bit-identical, so every check below would reproduce
-         its previous answer — coverage can only shrink when the
-         sender's tables shrink, the exiting list is unchanged so the
-         entering reconciliation is a fixpoint, and the conservative
-         re-assert sweep saw this exact mirror last time.  (Local state
-         that could invalidate that reasoning — a crash wiping scions or
-         mirrors — also wipes the delta basis, which forces the resync
-         path, never this one.)  Skipping it makes a quiescent round's
-         table traffic O(messages), not O(messages x entering set):
-         at 16 nodes x 4096 objects the reconciliation sweep below was
-         over 80% of a whole-cluster collection's wall-clock. *)
-      bump t "gc.cleaner.noop_tables"
-    | Mirror_delta ->
-      (* Churn-proportional path: the delta applied cleanly, so only the
-         keys it names can have changed anything local.  Deletions are
-         the only way coverage shrinks, so they drive scion removal and
-         entering retirement; additions drive entering re-adds and the
-         conservative re-assert.  Everything else was reconciled when it
-         first arrived and is untouched by this message.  The one check
-         this path defers is the ageing of [registered_after_send]
-         protection (an entry kept only because it was registered after
-         an earlier send): the periodic full table (every [full_period]
-         rounds) still runs the exhaustive sweep and retires it — a
-         bounded conservative delay, never an unsafe deletion.  This is
-         what makes a collection wave's table traffic O(round churn)
-         instead of O(stub table x destinations). *)
-      (match msg.tm_body with
-      | Full _ -> assert false (* fulls classify as [Mirror_rewritten] *)
-      | Delta
-          {
-            db_add_inter;
-            db_del_inter;
-            db_add_exiting;
-            db_del_exiting;
-            db_del_intra;
-            _;
-          } ->
-          let dir = Protocol.directory proto at in
-          let store = Protocol.store proto at in
-          (* Scions uncovered by this round's deletions.  The sweep
-             predicate is identical to the rewritten path's; it just
-             only runs when a deletion could have uncovered something. *)
-          if db_del_inter <> [] then
-            List.iter
-              (fun target_bunch ->
-                if
-                  Gc_state.has_inter_scions_from t ~node:at ~bunch:target_bunch
-                    ~src:sender
-                then
-                  let removed =
-                    Gc_state.remove_inter_scions t ~node:at ~bunch:target_bunch
-                      (fun scion ->
-                        Ids.Node.equal scion.Ssp.xs_src_node sender
-                        && Ids.Bunch.equal scion.Ssp.xs_src_bunch msg.tm_bunch
-                        && not
-                             (Gc_state.mirror_covers_inter t ~node:at ~sender
-                                ~bunch:msg.tm_bunch scion))
-                  in
-                  if removed > 0 then
-                    bump t ~by:removed "gc.cleaner.inter_scions_removed")
-              (Gc_state.bunches_with_tables t ~node:at);
-          if
-            db_del_intra <> []
-            && Gc_state.has_intra_scions_from t ~node:at ~bunch:msg.tm_bunch
-                 ~src:sender
-          then begin
-            let removed_intra =
-              Gc_state.remove_intra_scions t ~node:at ~bunch:msg.tm_bunch
-                (fun scion ->
-                  Ids.Node.equal scion.Ssp.xn_owner_side sender
-                  && not
-                       (Gc_state.mirror_covers_intra t ~node:at ~sender
-                          ~bunch:msg.tm_bunch ~holder:at scion))
-            in
-            if removed_intra > 0 then
-              bump t ~by:removed_intra "gc.cleaner.intra_scions_removed"
-          end;
-          (* Entering entries that this round's deletions stop
-             protecting: the exiting flips addressed to this node, plus
-             the targets of deleted inter stubs (a stub claim was the
-             keep-alive for checkpoint-restored entries). *)
-          let candidates =
-            List.filter_map
-              (fun (uid, target) ->
-                if Ids.Node.equal target at then Some uid else None)
-              db_del_exiting
-            @ List.map (fun (_, _, _, target_uid) -> target_uid) db_del_inter
-          in
-          Perfcount.(
-            counters.gc_table_entries <-
-              counters.gc_table_entries + List.length candidates);
-          if candidates <> [] then begin
-            let claimed =
-              List.fold_left
-                (fun acc (uid, target) ->
-                  if Ids.Node.equal target at then Ids.Uid_set.add uid acc
-                  else acc)
-                Ids.Uid_set.empty
-                (Gc_state.mirror_exiting t ~node:at ~sender ~bunch:msg.tm_bunch)
-            in
-            List.iter
-              (fun uid ->
-                let belongs_to_bunch =
-                  match Store.addr_of_uid store uid with
-                  | Some a -> (
-                      match Store.resolve store a with
-                      | Some (_, obj) ->
-                          Ids.Bunch.equal obj.Heap_obj.bunch msg.tm_bunch
-                      | None -> false)
-                  | None -> false
-                in
-                let registered_after_send =
-                  Directory.entering_registration_seq dir ~uid ~from:sender
-                  >= seq
-                in
-                let stub_claimed =
-                  Gc_state.mirror_claims_target t ~node:at ~sender uid
-                in
-                if
-                  Directory.is_entering_from dir ~uid ~from:sender
-                  && belongs_to_bunch
-                  && (not (Ids.Uid_set.mem uid claimed))
-                  && (not registered_after_send)
-                  && not stub_claimed
-                then begin
-                  Directory.remove_entering dir ~uid ~from:sender;
-                  bump t "gc.cleaner.entering_removed"
-                end)
-              (List.sort_uniq Ids.Uid.compare candidates)
-          end;
-          (* New exiting claims addressed here become entering entries;
-             new stubs re-assert protection if no matching scion exists
-             (same §6.1-dual repair as the rewritten path, restricted to
-             the keys that just arrived). *)
-          List.iter
-            (fun (uid, target) ->
-              if Ids.Node.equal target at then
-                Directory.add_entering dir ~seq ~uid ~from:sender)
-            db_add_exiting;
-          Perfcount.(
-            counters.gc_table_entries <-
-              counters.gc_table_entries + List.length db_add_inter);
-          List.iter
-            (fun ((_, _, _, target_uid) as key) ->
-              match Directory.find dir target_uid with
-              | Some r
-                when r.Directory.is_owner
-                     && not
-                          (Directory.is_entering_from dir ~uid:target_uid
-                             ~from:sender) ->
-                  let scion_here =
-                    match Store.addr_of_uid store target_uid with
-                    | None -> false
-                    | Some a -> (
-                        match Store.resolve store a with
-                        | None -> false
-                        | Some (_, tobj) ->
-                            List.exists
-                              (fun s -> Ssp.inter_scion_key s = key)
-                              (Gc_state.inter_scions_for_uid t ~node:at
-                                 ~bunch:tobj.Heap_obj.bunch ~uid:target_uid))
-                  in
-                  if not scion_here then begin
-                    Directory.add_entering dir ~seq ~uid:target_uid
-                      ~from:sender;
-                    bump t "gc.cleaner.entering_reasserted"
-                  end
-              | Some _ | None -> ())
-            db_add_inter;
-          Gc_state.sample_ssp_gauges t ~node:at)
-    | Mirror_rewritten ->
-      begin
-    (* Inter-bunch scions held here whose stub lived in the sender's copy
-       of the bunch: drop those the (mirrored) stub table no longer
-       covers.  Coverage is an O(1) key lookup per scion. *)
-    List.iter
-      (fun target_bunch ->
-        if Gc_state.has_inter_scions_from t ~node:at ~bunch:target_bunch ~src:sender
-        then
-          let removed =
-            Gc_state.remove_inter_scions t ~node:at ~bunch:target_bunch
-              (fun scion ->
-                Ids.Node.equal scion.Ssp.xs_src_node sender
-                && Ids.Bunch.equal scion.Ssp.xs_src_bunch msg.tm_bunch
-                && not
-                     (Gc_state.mirror_covers_inter t ~node:at ~sender
-                        ~bunch:msg.tm_bunch scion))
-          in
-          if removed > 0 then
-            bump t ~by:removed "gc.cleaner.inter_scions_removed")
-      (Gc_state.bunches_with_tables t ~node:at);
-    (* Intra-bunch scions for this bunch whose owner side is the sender:
-       keep only those the sender's intra stubs still name. *)
-    if Gc_state.has_intra_scions_from t ~node:at ~bunch:msg.tm_bunch ~src:sender
-    then begin
-      let removed_intra =
-        Gc_state.remove_intra_scions t ~node:at ~bunch:msg.tm_bunch (fun scion ->
-            Ids.Node.equal scion.Ssp.xn_owner_side sender
-            && not
-                 (Gc_state.mirror_covers_intra t ~node:at ~sender
-                    ~bunch:msg.tm_bunch ~holder:at scion))
-      in
-      if removed_intra > 0 then
-        bump t ~by:removed_intra "gc.cleaner.intra_scions_removed"
-    end;
-    (* Entering ownerPtrs: reconcile the entries originating at the sender
-       for objects of this bunch against the sender's exiting list. *)
-    let dir = Protocol.directory proto at in
-    let store = Protocol.store proto at in
-    let claimed =
-      (* The complete exiting list, reassembled from fulls and deltas by
-         the mirror — delta messages only carry the flips. *)
-      List.fold_left
-        (fun acc (uid, target) ->
-          if Ids.Node.equal target at then Ids.Uid_set.add uid acc else acc)
-        Ids.Uid_set.empty
-        (Gc_state.mirror_exiting t ~node:at ~sender:msg.tm_sender
-           ~bunch:msg.tm_bunch)
-    in
-    let sender_entries = Directory.entering_uids_from dir ~from:msg.tm_sender in
-    Perfcount.(
-      counters.gc_table_entries <-
-        counters.gc_table_entries + List.length sender_entries);
-    List.iter
-      (fun uid ->
-        let belongs_to_bunch =
-          match Store.addr_of_uid store uid with
-          | Some a -> (
-              match Store.resolve store a with
-              | Some (_, obj) -> Ids.Bunch.equal obj.Heap_obj.bunch msg.tm_bunch
-              | None -> false)
-          | None -> false
-        in
-        let registered_after_send =
-          Directory.entering_registration_seq dir ~uid ~from:msg.tm_sender
-          >= seq
-        in
-        (* Keep-alive across owner crashes: a checkpoint-restored
-           entering entry stands in for a scion that died with this
-           node.  The sender's exiting list never named such an
-           object — its claim rides in the inter-bunch stub tables —
-           so consult the stub mirrors before retiring the entry. *)
-        let stub_claimed =
-          Gc_state.mirror_claims_target t ~node:at ~sender:msg.tm_sender uid
-        in
-        if belongs_to_bunch
-           && (not (Ids.Uid_set.mem uid claimed))
-           && (not registered_after_send)
-           && not stub_claimed
-        then begin
-          Directory.remove_entering dir ~uid ~from:msg.tm_sender;
-          bump t "gc.cleaner.entering_removed"
-        end)
-      sender_entries;
-    Ids.Uid_set.iter
-      (fun uid -> Directory.add_entering dir ~seq ~uid ~from:msg.tm_sender)
-      claimed;
-    (* The dual of the §6.1 deletion test, needed only after a crash: a
-       mirrored stub whose matching scion no longer exists here (it was
-       volatile state of a previous incarnation) leaves its target owned
-       here with no root.  Re-assert protection as a conservative
-       entering entry; it is retired through the normal reconciliation
-       above once the claimant drops the stub.  Doing this on every
-       stub-table arrival makes the repair independent of the order the
-       sender's per-bunch tables land in. *)
-    let mirror_keys =
-      Gc_state.mirror_inter_keys t ~node:at ~sender:msg.tm_sender
-        ~bunch:msg.tm_bunch
-    in
-    Perfcount.(
-      counters.gc_table_entries <-
-        counters.gc_table_entries + List.length mirror_keys);
-    List.iter
-      (fun ((_, _, _, target_uid) as key) ->
-        match Directory.find dir target_uid with
-        | Some r
-          when r.Directory.is_owner
-               && not
-                    (Directory.is_entering_from dir ~uid:target_uid
-                       ~from:msg.tm_sender) ->
-            (* Scion presence is a by-target-uid index lookup, never a
-               scan of the bunch's whole scion table. *)
-            let scion_here =
-              match Store.addr_of_uid store target_uid with
-              | None -> false
-              | Some a -> (
-                  match Store.resolve store a with
-                  | None -> false
-                  | Some (_, tobj) ->
-                      List.exists
-                        (fun s -> Ssp.inter_scion_key s = key)
-                        (Gc_state.inter_scions_for_uid t ~node:at
-                           ~bunch:tobj.Heap_obj.bunch ~uid:target_uid))
-            in
-            if not scion_here then begin
-              Directory.add_entering dir ~seq ~uid:target_uid
-                ~from:msg.tm_sender;
-              bump t "gc.cleaner.entering_reasserted"
-            end
-        | Some _ | None -> ())
-      mirror_keys;
-    Gc_state.sample_ssp_gauges t ~node:at
-    end
+         (Trace_event.Tables_processed { at; sender; bunch; seq }));
+    match (sync_mirror t ~at ~seq msg, msg.tm_body) with
+    | Mirror_unchanged, _ ->
+        (* Quiet-stream fast path: an empty delta on a matching basis left
+           the mirror bit-identical, so every check would reproduce its
+           previous answer — coverage can only shrink when the sender's
+           tables shrink, the exiting list is unchanged so the entering
+           reconciliation is a fixpoint, and the conservative re-assert
+           sweep saw this exact mirror last time.  (Local state that
+           could invalidate that reasoning — a crash wiping scions or
+           mirrors — also wipes the delta basis, which forces the resync
+           path, never this one.)  Skipping it makes a quiescent round's
+           table traffic O(messages), not O(messages x entering set). *)
+        bump t "gc.cleaner.noop_tables"
+    | Mirror_delta, Delta d ->
+        (* Churn-proportional scope: the delta applied cleanly, so only
+           the keys it names can have changed anything local.  Deletions
+           are the only way coverage shrinks, so they drive scion removal
+           and entering retirement — the exiting flips addressed here plus
+           the targets of deleted inter stubs (a stub claim was the
+           keep-alive for checkpoint-restored entries); additions drive
+           entering claims and the conservative re-assert.  The one check
+           this scope defers is the ageing of [registered_after_send]
+           protection (an entry kept only because it was registered after
+           an earlier send): the periodic full table (every [full_period]
+           rounds) re-checks the whole entering set and retires it — a
+           bounded conservative delay, never an unsafe deletion. *)
+        reconcile t ~at ~seq ~sender ~bunch
+          ~uncover_inter:(d.db_del_inter <> [])
+          ~uncover_intra:(d.db_del_intra <> [])
+          ~retire:
+            (addressed_to at d.db_del_exiting
+            @ List.map (fun (_, _, _, target_uid) -> target_uid) d.db_del_inter)
+          ~claim:(addressed_to at d.db_add_exiting)
+          ~reassert:d.db_add_inter
+    | Mirror_rewritten, _ | Mirror_delta, Full _ ->
+        (* The mirror was replaced wholesale: re-check every scion from
+           the sender, its whole entering set, the complete exiting list
+           and every mirrored inter stub. *)
+        let dir = Protocol.directory (Gc_state.proto t) at in
+        reconcile t ~at ~seq ~sender ~bunch ~uncover_inter:true
+          ~uncover_intra:true
+          ~retire:(Directory.entering_uids_from dir ~from:sender)
+          ~claim:
+            (addressed_to at (Gc_state.mirror_exiting t ~node:at ~sender ~bunch))
+          ~reassert:(Gc_state.mirror_inter_keys t ~node:at ~sender ~bunch)
   end
 
-(* Cleaner merges run both inline (a node processing its own tables) and
-   at message delivery, possibly long after the emitting collection; the
-   timer here attributes that work to the reconcile phase wherever it
-   lands. *)
+(* Cleaner merges run at message delivery, possibly long after the
+   emitting collection; the timer here attributes that work to the
+   reconcile phase wherever it lands. *)
 let receive t ~at ~seq msg =
   let t0 = Sys.time () in
   receive_untimed t ~at ~seq msg;
@@ -623,13 +460,13 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   List.iter send_to live_dests;
   Gc_state.rebase_stub_journal t ~node ~bunch;
   (* The scion cleaner is a per-node service operating on all local
-     bunches (§6.1): the node's own scions matching its own regenerated
-     stub tables are processed by direct hand-off, no message needed. *)
-  let self_seq =
-    match Gc_state.last_table_seq t ~node ~sender:node ~bunch with
-    | Some s -> s + 1
-    | None -> 1
-  in
-  receive t ~at:node ~seq:self_seq
-    { tm_sender = node; tm_bunch = bunch; tm_body = full_body };
+     bunches (§6.1): the node's own scions are checked directly against
+     the stub tables it has just regenerated — no message and no mirror.
+     Only the scion side applies: entering ownerPtrs never originate at
+     the owner itself. *)
+  uncover_inter t ~at:node ~sender:node ~bunch
+    (Gc_state.stubs_cover_inter t ~node ~bunch);
+  uncover_intra t ~at:node ~sender:node ~bunch
+    (Gc_state.stubs_cover_intra t ~node ~bunch);
+  Gc_state.sample_ssp_gauges t ~node;
   List.length live_dests

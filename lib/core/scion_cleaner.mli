@@ -20,7 +20,16 @@
     stamps (§6.1), exactly as for full tables.  The exiting ownerPtr
     list rides the same encoding: complete in fulls, flips-only in
     deltas, reassembled by the receiver's mirror before the entering
-    reconciliation runs. *)
+    reconciliation runs.
+
+    One reconciliation routine serves every message; only its scope
+    varies.  A full table or a resync re-checks every scion from the
+    sender, the sender's whole entering set, the complete exiting list
+    and every mirrored inter stub.  A cleanly applied delta re-checks
+    only the keys it names, and an empty one is a no-op.  A node's own
+    tables are not messages: {!broadcast} checks the node's own scions
+    directly against the stub tables its collection just regenerated,
+    so no node mirrors itself. *)
 
 type table_body =
   | Full of {
@@ -52,9 +61,10 @@ val msg_bytes : table_msg -> int
     delta payload, not the full-table formula. *)
 
 val receive : Gc_state.t -> at:Bmx_util.Ids.Node.t -> seq:int -> table_msg -> unit
-(** Process one reachability message at node [at].  Stale or duplicated
-    messages (sequence number not beyond the last processed for the same
-    (sender, bunch) stream) are ignored. *)
+(** Process one reachability message from a remote sender at node [at].
+    Stale or duplicated messages (sequence number not beyond the last
+    processed for the same (sender, bunch) stream) are ignored, and so
+    are tables from a sender that is down or cut off from [at]. *)
 
 val destinations :
   Gc_state.t ->
@@ -86,4 +96,5 @@ val broadcast :
     table).  Re-running after a loss simply resends — the cumulative
     encoding keeps that safe.  Accounts [tables.delta_bytes] (actual
     wire bytes) and [tables.full_bytes] (what full tables would have
-    cost) per send. *)
+    cost) per send.  Finally drops the node's own scions that its
+    regenerated stub tables for [bunch] no longer cover. *)

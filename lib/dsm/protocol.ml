@@ -33,7 +33,6 @@ type t = {
       (* cached owner per uid — a hint, validated against the directory
          on every lookup (tests and crashes may flip [is_owner] without
          going through the protocol) and repaired by scan on a miss *)
-  tracer : Tracelog.t;
   evlog : Trace_event.log;
   mutable obs : Bmx_obs.Metrics.t option;
   mutable copyset_hist : int array;
@@ -58,7 +57,6 @@ let create ~net ~registry ?(mode = Distributed) ?(update_policy = Lazy) () =
     uidgen = Ids.Uid.generator ();
     addr_oracle = Hashtbl.create 1024;
     owners = Ids.Uid_tbl.create 1024;
-    tracer = (let tr = Tracelog.create () in Tracelog.set_enabled tr false; tr);
     evlog = Trace_event.create_log ();
     obs = None;
     copyset_hist = Array.make 8 0;
@@ -89,7 +87,6 @@ let copyset_changed t ~was ~now =
   end
 
 let set_hooks t hooks = t.hooks <- hooks
-let tracer t = t.tracer
 let evlog t = t.evlog
 
 let set_metrics t m =
@@ -114,7 +111,6 @@ let ev t e = if Trace_event.enabled t.evlog then Trace_event.record t.evlog e
 let ev_actor = function App -> Trace_event.App | Gc -> Trace_event.Gc
 let ev_tok = function `Read -> Trace_event.Read | `Write -> Trace_event.Write
 
-let trace t category fmt = Tracelog.recordf t.tracer ~category fmt
 let net t = t.net
 let stats t = Net.stats t.net
 let registry t = t.registry
@@ -529,7 +525,6 @@ let rec invalidate_subtree t ~actor ~skip node uid =
             if not (Net.is_down t.net peer) then begin
               Net.record_rpc t.net ~src:node ~dst:peer ~kind:Net.Invalidate ();
               ev t (Trace_event.Invalidate { src = node; dst = peer; uid });
-              trace t "dsm" "invalidate u%d at N%d (from N%d)" uid peer node;
               bump t (actor_prefix actor ^ ".invalidations")
             end;
             invalidate_subtree t ~actor ~skip peer uid
@@ -670,8 +665,6 @@ let acquire t ?(actor = App) ~node:n addr kind =
           Net.record_piggyback t.net ~src:granter ~kind:Net.Token_grant
             ~bytes:(List.length updates * update_bytes)
             ?shard:(shard_of t gaddr) ();
-        trace t "dsm" "read grant u%d: N%d -> N%d (%d updates)" uid granter n
-          (List.length updates);
         let r_n =
           Directory.ensure d_n ~uid
             ~prob_owner:
@@ -765,8 +758,6 @@ let acquire t ?(actor = App) ~node:n addr kind =
           (* Ownership transfer: the old owner keeps an inconsistent copy
              (Figure 1: o3 marked "i" at N2) and its ownerPtr now exits
              towards the new owner. *)
-          trace t "dsm" "ownership u%d: N%d -> N%d (%d updates)" uid owner n
-            (List.length updates);
           o_rec.Directory.state <- Directory.Invalid;
           o_rec.Directory.is_owner <- false;
           o_rec.Directory.prob_owner <- n;
@@ -1033,8 +1024,7 @@ let adopt_ownership t ~node ~uid =
       Ids.Node_set.empty (replica_nodes t uid);
   copyset_changed t ~was:cs_was
     ~now:(Ids.Node_set.cardinal r.Directory.copyset);
-  ev t (Trace_event.Owner_adopted { node; uid });
-  trace t "dsm" "ownership of u%d adopted by N%d" uid node
+  ev t (Trace_event.Owner_adopted { node; uid })
 
 let exiting_ownerptrs t ~node ~bunch =
   let s = store t node in

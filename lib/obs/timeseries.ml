@@ -240,12 +240,7 @@ let observe t ts key x =
     end;
     let hw = s.hwins.(i) in
     hw.hn <- hw.hn + 1;
-    let cap = Array.length hw.hsamples in
-    if hw.hn <= cap then hw.hsamples.(hw.hn - 1) <- x
-    else begin
-      let j = Rng.int t.hcols.(i).hrng hw.hn in
-      if j < cap then hw.hsamples.(j) <- x
-    end
+    Stats.reservoir_offer t.hcols.(i).hrng hw.hsamples ~n:hw.hn x
   end
 
 (* Live latency families, mirroring Report: token_acquire.{gc,read,write},
@@ -388,22 +383,12 @@ let sample_count t ?node ~since ~until name =
         0
         (overlapping t ~since ~until)
 
-(* Same round-to-nearest-rank estimator as Stats.Summary.percentile, so
-   a merged window interval that saw every sample reproduces the
-   whole-run reservoir exactly. *)
-let percentile_of arr p =
-  let len = Array.length arr in
-  if len = 0 then 0.
-  else begin
-    let arr = Array.copy arr in
-    Array.sort Float.compare arr;
-    let rank = p /. 100. *. float_of_int (len - 1) in
-    let lo = int_of_float (Float.round rank) in
-    arr.(Stdlib.max 0 (Stdlib.min (len - 1) lo))
-  end
-
+(* The estimator Stats.Summary.percentile uses, so a merged window
+   interval that saw every sample reproduces the whole-run reservoir
+   exactly. *)
 let percentile t ?node ~since ~until name p =
-  percentile_of (gather t ?node ~since ~until name) p
+  let arr = gather t ?node ~since ~until name in
+  Stats.percentile arr ~len:(Array.length arr) p
 
 let histo_names t =
   Array.to_list (Array.map (fun h -> h.hkey) t.hcols)

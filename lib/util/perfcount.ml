@@ -16,7 +16,6 @@
 type t = {
   (* driver legality memo (lib/workload/driver.ml + reach.ml) *)
   mutable memo_invalidations : int;  (* removal epochs: root drops, edge overwrites *)
-  mutable memo_full_rebuilds : int;  (* from-scratch BFS over the mirror graph *)
   mutable memo_resyncs : int;  (* full mirror re-extractions from the cluster *)
   mutable reach_nodes_touched : int;  (* graph nodes visited by queries/rebuilds *)
   (* collector (lib/core/collect.ml) *)
@@ -28,8 +27,9 @@ type t = {
   (* observability (lib/core/gc_state.ml, lib/obs/timeseries.ml) *)
   mutable obs_sample_work : int;  (* cells/segments visited while sampling gauges *)
   (* collector phase timers (lib/core/collect.ml, scion_cleaner.ml).
-     Nanoseconds of wall clock per phase; a timer is two Sys.time reads
-     around the phase body, so the fields stay plain mutable ints. *)
+     Nanoseconds of process CPU time per phase, not wall clock: a timer
+     is two Sys.time reads (CPU seconds consumed by this process) around
+     the phase body, so the fields stay plain mutable ints. *)
   mutable gc_ns_trace : int;  (* root enumeration + reachability trace *)
   mutable gc_ns_flip : int;  (* space flip / forwarding setup *)
   mutable gc_ns_copy : int;  (* live-object evacuation *)
@@ -39,7 +39,6 @@ type t = {
 
 let counters = {
   memo_invalidations = 0;
-  memo_full_rebuilds = 0;
   memo_resyncs = 0;
   reach_nodes_touched = 0;
   gc_objects_touched = 0;
@@ -56,7 +55,6 @@ let counters = {
 
 type snapshot = {
   s_memo_invalidations : int;
-  s_memo_full_rebuilds : int;
   s_memo_resyncs : int;
   s_reach_nodes_touched : int;
   s_gc_objects_touched : int;
@@ -73,7 +71,6 @@ type snapshot = {
 
 let snapshot () = {
   s_memo_invalidations = counters.memo_invalidations;
-  s_memo_full_rebuilds = counters.memo_full_rebuilds;
   s_memo_resyncs = counters.memo_resyncs;
   s_reach_nodes_touched = counters.reach_nodes_touched;
   s_gc_objects_touched = counters.gc_objects_touched;
@@ -90,7 +87,6 @@ let snapshot () = {
 
 let diff ~before ~after = {
   s_memo_invalidations = after.s_memo_invalidations - before.s_memo_invalidations;
-  s_memo_full_rebuilds = after.s_memo_full_rebuilds - before.s_memo_full_rebuilds;
   s_memo_resyncs = after.s_memo_resyncs - before.s_memo_resyncs;
   s_reach_nodes_touched = after.s_reach_nodes_touched - before.s_reach_nodes_touched;
   s_gc_objects_touched = after.s_gc_objects_touched - before.s_gc_objects_touched;
@@ -107,7 +103,6 @@ let diff ~before ~after = {
 
 let reset () =
   counters.memo_invalidations <- 0;
-  counters.memo_full_rebuilds <- 0;
   counters.memo_resyncs <- 0;
   counters.reach_nodes_touched <- 0;
   counters.gc_objects_touched <- 0;
@@ -123,13 +118,12 @@ let reset () =
 
 let pp ppf s =
   Format.fprintf ppf
-    "@[<v>memo: invalidations=%d rebuilds=%d resyncs=%d reach-touched=%d@,\
+    "@[<v>memo: invalidations=%d resyncs=%d reach-touched=%d@,\
      gc: objects=%d table-entries=%d@,\
      memory: cells=%d words-copied=%d@,\
      obs: sample-work=%d@,\
      gc-phase-ns: trace=%d flip=%d copy=%d scan=%d reconcile=%d@]"
-    s.s_memo_invalidations s.s_memo_full_rebuilds s.s_memo_resyncs
-    s.s_reach_nodes_touched s.s_gc_objects_touched s.s_gc_table_entries
+    s.s_memo_invalidations s.s_memo_resyncs s.s_reach_nodes_touched s.s_gc_objects_touched s.s_gc_table_entries
     s.s_store_cells_touched s.s_flat_words_copied s.s_obs_sample_work
     s.s_gc_ns_trace s.s_gc_ns_flip s.s_gc_ns_copy s.s_gc_ns_scan
     s.s_gc_ns_reconcile

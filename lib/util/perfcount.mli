@@ -12,7 +12,6 @@
 
 type t = {
   mutable memo_invalidations : int;
-  mutable memo_full_rebuilds : int;
   mutable memo_resyncs : int;
   mutable reach_nodes_touched : int;
   mutable gc_objects_touched : int;
@@ -25,10 +24,10 @@ type t = {
   mutable gc_ns_copy : int;
   mutable gc_ns_scan : int;
   mutable gc_ns_reconcile : int;
-      (** [gc_ns_*]: wall-clock nanoseconds spent in each collector phase
-          (trace / flip / copy / scan / cleaner-reconcile) — the
-          metrics-backed replacement for the old BMX_GC_PHASE_TIMING
-          stderr hack. *)
+      (** [gc_ns_*]: nanoseconds of process CPU time ([Sys.time], not
+          wall clock) spent in each collector phase (trace / flip / copy
+          / scan / cleaner-reconcile) — the metrics-backed replacement
+          for the old BMX_GC_PHASE_TIMING stderr hack. *)
 }
 
 val counters : t
@@ -37,7 +36,6 @@ val counters : t
 
 type snapshot = {
   s_memo_invalidations : int;
-  s_memo_full_rebuilds : int;
   s_memo_resyncs : int;
   s_reach_nodes_touched : int;
   s_gc_objects_touched : int;

@@ -27,6 +27,26 @@ let diff ~before ~after =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let reservoir_offer rng samples ~n x =
+  (* Vitter's algorithm R: every sample has an equal chance of sitting in
+     the reservoir, so percentiles over it are unbiased estimates. *)
+  let cap = Array.length samples in
+  if n <= cap then samples.(n - 1) <- x
+  else begin
+    let j = Rng.int rng n in
+    if j < cap then samples.(j) <- x
+  end
+
+let percentile samples ~len p =
+  if len = 0 then 0.
+  else begin
+    let arr = Array.sub samples 0 len in
+    Array.sort Float.compare arr;
+    let rank = p /. 100. *. float_of_int (len - 1) in
+    let lo = int_of_float (Float.round rank) in
+    arr.(Stdlib.max 0 (Stdlib.min (len - 1) lo))
+  end
+
 module Summary = struct
   let reservoir_capacity = 1024
 
@@ -37,7 +57,6 @@ module Summary = struct
     mutable min : float;
     mutable max : float;
     samples : float array;
-    mutable filled : int;
     rng : Rng.t;
   }
 
@@ -51,7 +70,6 @@ module Summary = struct
       min = infinity;
       max = neg_infinity;
       samples = Array.make reservoir_capacity 0.;
-      filled = 0;
       rng = Rng.make seed;
     }
 
@@ -62,16 +80,7 @@ module Summary = struct
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x;
-    (* Vitter's algorithm R: every sample has an equal chance of sitting in
-       the reservoir, so percentiles over it are unbiased estimates. *)
-    if t.filled < reservoir_capacity then begin
-      t.samples.(t.filled) <- x;
-      t.filled <- t.filled + 1
-    end
-    else begin
-      let j = Rng.int t.rng t.n in
-      if j < reservoir_capacity then t.samples.(j) <- x
-    end
+    reservoir_offer t.rng t.samples ~n:t.n x
 
   let n t = t.n
   let mean t = if t.n = 0 then 0. else t.mean
@@ -81,12 +90,5 @@ module Summary = struct
   let total t = t.mean *. float_of_int t.n
 
   let percentile t p =
-    if t.filled = 0 then 0.
-    else begin
-      let arr = Array.sub t.samples 0 t.filled in
-      Array.sort Float.compare arr;
-      let rank = p /. 100. *. float_of_int (Array.length arr - 1) in
-      let lo = int_of_float (Float.round rank) in
-      arr.(Stdlib.max 0 (Stdlib.min (Array.length arr - 1) lo))
-    end
+    percentile t.samples ~len:(Stdlib.min t.n reservoir_capacity) p
 end

@@ -25,6 +25,24 @@ val diff : before:(string * int) list -> after:(string * int) list
 (** Per-counter deltas ([after - before]); names absent on one side count
     as zero. *)
 
+(** {1 Reservoir sampling}
+
+    The one bounded sampler and percentile estimator behind
+    {!Summary} and the per-window reservoirs of the time series. *)
+
+val reservoir_offer : Rng.t -> float array -> n:int -> float -> unit
+(** [reservoir_offer rng samples ~n x] offers [x] as the [n]-th sample
+    (1-based, counting [x]) to the reservoir [samples] (Vitter's
+    algorithm R): the first [Array.length samples] samples fill it in
+    order, each later one replaces a uniformly drawn slot with
+    probability [capacity / n].  The stored prefix is
+    [min n (Array.length samples)].  Draws from [rng] only once full. *)
+
+val percentile : float array -> len:int -> float -> float
+(** [percentile samples ~len p]: the round-to-nearest-rank [p]-th
+    percentile ([p] in [0,100]) of the first [len] samples; [0.] when
+    [len = 0].  Sorts a copy. *)
+
 (** Streaming summary of a sample (Welford's algorithm).
 
     Count, mean, stddev, min and max are exact for every sample ever

@@ -1,7 +1,6 @@
 (** Structured protocol/GC event trace for mechanical verification.
 
-    Unlike {!Tracelog} (free-form strings for humans), this log records
-    {e typed} events that the offline linter ([Bmx_check.Lint]) can
+    The log records {e typed} events that the offline linter ([Bmx_check.Lint]) can
     replay against the protocol state machine: token acquisitions with
     their acting subsystem, grant messages with their piggybacked
     location-update counts, the §5 invariant hook firings, copy-set

@@ -155,6 +155,40 @@ let test_destinations () =
   check_bool "scion holder N1 is a destination" true (List.mem 1 dests);
   check_bool "never includes self" false (List.mem 0 dests)
 
+(* A node's own tables are applied directly: a local inter-bunch SSP
+   (stub and scion both at N0) is cleaned without any stub-table message,
+   and no node ever mirrors its own tables. *)
+let test_own_tables_applied_directly () =
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let b1 = Cluster.new_bunch c ~home:0 in
+  let b2 = Cluster.new_bunch c ~home:0 in
+  let x = Cluster.alloc c ~node:0 ~bunch:b2 [| Value.Data 1 |] in
+  let y = Cluster.alloc c ~node:0 ~bunch:b1 [| Value.Ref x |] in
+  Cluster.add_root c ~node:0 y;
+  ignore (Cluster.drain c);
+  check_int "local scion at N0" 1
+    (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:b2));
+  ignore (Cluster.gc_round c);
+  check_int "covered scion kept" 1
+    (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:b2));
+  Cluster.remove_root c ~node:0 y;
+  let processed = Stats.get (Cluster.stats c) "gc.cleaner.processed" in
+  let _ = Cluster.bgc c ~node:0 ~bunch:b1 in
+  check_int "uncovered scion dropped by the collection itself" 0
+    (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:b2));
+  check_int "no table message processed for it" processed
+    (Stats.get (Cluster.stats c) "gc.cleaner.processed");
+  ignore (Cluster.gc_round c);
+  List.iter
+    (fun node ->
+      List.iter
+        (fun bunch ->
+          check_bool "no self-mirror" true
+            (Gc_state.mirror_basis gc ~node ~sender:node ~bunch = None))
+        [ b1; b2 ])
+    (Cluster.nodes c)
+
 let () =
   Alcotest.run "scion_cleaner"
     [
@@ -167,6 +201,8 @@ let () =
           Alcotest.test_case "entering ownerPtr reconciliation" `Quick
             test_entering_reconciliation;
           Alcotest.test_case "destinations" `Quick test_destinations;
+          Alcotest.test_case "own tables applied directly" `Quick
+            test_own_tables_applied_directly;
         ] );
       ( "robustness (§6.1)",
         [

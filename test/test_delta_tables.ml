@@ -1,16 +1,33 @@
-(* Equivalence of the indexed stub tables and the delta-reassembled
-   mirrors with plain list semantics (PR 4).
+(* Delta reachability tables (PR 4), checked two ways.
 
-   A reference model maintains the sender's stub tables as naive lists
-   with the documented semantics (adds prepend-if-absent, replaces
-   install verbatim).  Random op sequences — adds, wholesale replaces,
-   broadcast rounds (some with every table message dropped), and
-   crash/restart of either side — drive the real implementation, and
-   after every op the indexed accessors must agree with the model
-   exactly.  After every cleanly delivered round the receiver's mirror
-   (rebuilt from fulls and one-round deltas, healed by pull-resyncs
-   after losses and restarts) must cover precisely the stubs the model
-   holds, and reassemble exactly the model's exiting list. *)
+   1. Equivalence of the indexed stub tables and the delta-reassembled
+   mirrors with plain list semantics.  A reference model maintains the
+   sender's stub tables as naive lists with the documented semantics
+   (adds prepend-if-absent, replaces install verbatim).  Random op
+   sequences — adds, wholesale replaces, broadcast rounds (some with
+   every table message dropped), and crash/restart of either side —
+   drive the real implementation, and after every op the indexed
+   accessors must agree with the model exactly.  After every cleanly
+   delivered round the receiver's mirror (rebuilt from fulls and
+   one-round deltas, healed by pull-resyncs after losses and restarts)
+   must cover precisely the stubs the model holds, and reassemble
+   exactly the model's exiting list.
+
+   2. The delta reconciliation scope against the exhaustive one.  The
+   same random table sequence is delivered to one receiver as deltas and
+   to an identical twin as fulls, with the same scion messages and
+   entering registrations in between.  After every message the scion
+   tables must be equal, and the delta receiver's entering set from the
+   sender must contain the full receiver's; its only extra entries may
+   be ones the delta scope has not yet re-checked because they were
+   registered after an earlier send ([registered_after_send] ageing,
+   which the periodic full table settles).  This property fails when any
+   part of the delta scope is dropped from the cleaner:
+   - the inter-scion uncover on deleted inter keys;
+   - the intra-scion uncover on deleted intra keys;
+   - the entering retirement of deleted exiting claims;
+   - the entering claims of added exiting entries;
+   - the re-assert of added inter keys. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -18,6 +35,8 @@ module Net = Bmx_netsim.Net
 module Gc_state = Bmx_gc.Gc_state
 module Scion_cleaner = Bmx_gc.Scion_cleaner
 module Ssp = Bmx_gc.Ssp
+module Protocol = Bmx_dsm.Protocol
+module Directory = Bmx_dsm.Directory
 
 let sender = 0
 let receiver = 1
@@ -267,6 +286,205 @@ let test_paths_exercised () =
   Alcotest.(check bool)
     "losses triggered mirror resyncs" true (!total_resyncs > 0)
 
+(* ---- delta scope vs full scope (property 2) ---- *)
+
+type rop =
+  | Tables of bool array * bool array * bool array  (* inter, intra, exiting *)
+  | Scion_msg of int  (* stub i created at the sender, its scion delivered *)
+  | Intra_msg of int
+  | Register of int  (* entering entry registered after the last send *)
+  | Send
+
+let pp_rop = function
+  | Tables (a, b, e) ->
+      Printf.sprintf "Tables (%s, %s, %s)" (pp_mask a) (pp_mask b) (pp_mask e)
+  | Scion_msg i -> Printf.sprintf "Scion_msg %d" i
+  | Intra_msg i -> Printf.sprintf "Intra_msg %d" i
+  | Register i -> Printf.sprintf "Register %d" i
+  | Send -> "Send"
+
+let arb_rops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_rop ops))
+    QCheck.Gen.(
+      list_size (int_range 6 40)
+        (frequency
+           [
+             ( 3,
+               map3 (fun a b e -> Tables (a, b, e)) gen_mask gen_mask gen_mask );
+             (2, map (fun i -> Scion_msg i) (int_bound (pool_size - 1)));
+             (2, map (fun i -> Intra_msg i) (int_bound (pool_size - 1)));
+             (1, map (fun i -> Register i) (int_bound (pool_size - 1)));
+             (4, return Send);
+           ]))
+
+(* One receiver cluster; both twins are built by the same deterministic
+   calls, so their uids coincide.  [es] are objects of the sender's
+   bunch [b] owned at the receiver (exiting claims and intra scions name
+   them); [ts] are objects of [tb] owned at the receiver (the targets of
+   the sender's inter stubs). *)
+let make_twin () =
+  let c = Cluster.create ~nodes:2 () in
+  let b = Cluster.new_bunch c ~home:receiver in
+  let tb = Cluster.new_bunch c ~home:receiver in
+  let objs bunch =
+    Array.init pool_size (fun _ ->
+        let a = Cluster.alloc c ~node:receiver ~bunch [| Bmx_memory.Value.Data 0 |] in
+        Cluster.uid_at c ~node:receiver a)
+  in
+  let es = objs b in
+  let ts = objs tb in
+  ignore (Cluster.drain c);
+  (c, b, tb, es, ts)
+
+let prop_delta_scope_matches_full =
+  QCheck.Test.make ~name:"delta reconcile scope = full reconcile scope"
+    ~count:300 arb_rops (fun ops ->
+      let ((cd, b, tb, es, ts) as _d) = make_twin () in
+      let cf, _, _, _, _ = make_twin () in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let inter_stub i =
+        {
+          Ssp.is_src_bunch = b;
+          is_src_uid = 100 + i;
+          is_created_at = sender;
+          is_target_uid = ts.(i);
+          is_target_bunch = tb;
+          is_target_addr = Addr.null;
+          is_scion_at = receiver;
+        }
+      in
+      let inter_scion i =
+        {
+          Ssp.xs_src_bunch = b;
+          xs_src_uid = 100 + i;
+          xs_src_node = sender;
+          xs_target_uid = ts.(i);
+          xs_target_bunch = tb;
+        }
+      in
+      let intra_stub i = { Ssp.ns_bunch = b; ns_uid = es.(i); ns_holder = receiver } in
+      let intra_scion i = { Ssp.xn_bunch = b; xn_uid = es.(i); xn_owner_side = sender } in
+      let exiting i = (es.(i), receiver) in
+      (* The sender's current tables and its journal of entries touched
+         since the last send (the shape [Gc_state.stub_delta] ships). *)
+      let cur = Array.init 3 (fun _ -> Array.make pool_size false) in
+      let touched = Array.init 3 (fun _ -> Array.make pool_size false) in
+      let set sec i v =
+        if cur.(sec).(i) <> v then begin
+          cur.(sec).(i) <- v;
+          touched.(sec).(i) <- true
+        end
+      in
+      let present sec f =
+        List.filter_map
+          (fun i -> if cur.(sec).(i) then Some (f i) else None)
+          (List.init pool_size Fun.id)
+      in
+      let split sec f =
+        List.partition_map
+          (fun i -> if cur.(sec).(i) then Left (f i) else Right (f i))
+          (List.filter (fun i -> touched.(sec).(i)) (List.init pool_size Fun.id))
+      in
+      let seq = ref 0 in
+      let registered = ref [] (* (uid, seq) of [Register] entries *) in
+      let both f = f cd; f cf in
+      let dir c = Protocol.directory (Cluster.proto c) receiver in
+      let entering c = Directory.entering_uids_from (dir c) ~from:sender in
+      let compare_twins op =
+        let gd = Cluster.gc cd and gf = Cluster.gc cf in
+        if
+          sorted (Gc_state.inter_scions gd ~node:receiver ~bunch:tb)
+          <> sorted (Gc_state.inter_scions gf ~node:receiver ~bunch:tb)
+        then fail "after %s: inter scion tables differ" (pp_rop op);
+        if
+          sorted (Gc_state.intra_scions gd ~node:receiver ~bunch:b)
+          <> sorted (Gc_state.intra_scions gf ~node:receiver ~bunch:b)
+        then fail "after %s: intra scion tables differ" (pp_rop op);
+        let ed = entering cd and ef = entering cf in
+        List.iter
+          (fun uid ->
+            if not (List.mem uid ed) then
+              fail "after %s: o%d entering from the sender only at the full \
+                    receiver"
+                (pp_rop op) uid)
+          ef;
+        List.iter
+          (fun uid ->
+            if not (List.mem uid ef) then
+              let reg =
+                Directory.entering_registration_seq (dir cd) ~uid ~from:sender
+              in
+              if not (List.mem (uid, reg) !registered) then
+                fail "after %s: o%d entering only at the delta receiver, \
+                      registered at seq %d by a table"
+                  (pp_rop op) uid reg)
+          ed
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Tables (mi, mn, me) ->
+              Array.iteri (fun sec m -> Array.iteri (set sec) m) [| mi; mn; me |]
+          | Scion_msg i ->
+              set 0 i true;
+              both (fun c ->
+                  Gc_state.add_inter_scion (Cluster.gc c) ~node:receiver
+                    (inter_scion i))
+          | Intra_msg i ->
+              set 1 i true;
+              both (fun c ->
+                  Gc_state.add_intra_scion (Cluster.gc c) ~node:receiver
+                    (intra_scion i))
+          | Register i ->
+              registered := (es.(i), !seq + 1) :: !registered;
+              both (fun c ->
+                  Directory.add_entering (dir c) ~seq:(!seq + 1) ~uid:es.(i)
+                    ~from:sender)
+          | Send ->
+              incr seq;
+              let full =
+                Scion_cleaner.Full
+                  {
+                    fb_inter = present 0 inter_stub;
+                    fb_intra = present 1 intra_stub;
+                    fb_exiting = present 2 exiting;
+                  }
+              in
+              let delta =
+                if !seq = 1 then full
+                else
+                  let add_inter, del_inter =
+                    split 0 (fun i -> Ssp.inter_stub_key (inter_stub i))
+                  in
+                  let add_intra, del_intra =
+                    split 1 (fun i -> Ssp.intra_stub_key (intra_stub i))
+                  in
+                  let add_exiting, del_exiting = split 2 exiting in
+                  Scion_cleaner.Delta
+                    {
+                      db_basis = !seq - 1;
+                      db_add_inter = add_inter;
+                      db_del_inter = del_inter;
+                      db_add_intra = add_intra;
+                      db_del_intra = del_intra;
+                      db_add_exiting = add_exiting;
+                      db_del_exiting = del_exiting;
+                    }
+              in
+              Array.iter (fun t -> Array.fill t 0 pool_size false) touched;
+              let deliver c body =
+                Scion_cleaner.receive (Cluster.gc c) ~at:receiver ~seq:!seq
+                  { Scion_cleaner.tm_sender = sender; tm_bunch = b; tm_body = body }
+              in
+              deliver cd delta;
+              deliver cf full;
+              compare_twins op)
+        ops;
+      if Stats.get (Cluster.stats cd) "gc.cleaner.resyncs" <> 0 then
+        fail "the delta stream resynchronised: the property compared fulls";
+      true)
+
 let pinned_to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260807 |]) t
 
@@ -276,6 +494,7 @@ let () =
       ( "equivalence",
         [
           pinned_to_alcotest prop_indexed_tables_match_lists;
+          pinned_to_alcotest prop_delta_scope_matches_full;
           Alcotest.test_case "delta/full/resync paths exercised" `Quick
             test_paths_exercised;
         ] );

@@ -379,20 +379,6 @@ let test_reservoir_summary () =
   check_bool "deterministic" true
     (Stats.Summary.percentile s2 90. = Stats.Summary.percentile s 90.)
 
-(* ------------------------------------------------------- lazy tracelog -- *)
-
-let test_tracelog_lazy () =
-  let tr = Tracelog.create () in
-  Tracelog.set_enabled tr false;
-  Tracelog.recordf tr ~category:"t" "x=%d" 1;
-  check_int "disabled records nothing" 0 (Tracelog.total_recorded tr);
-  Tracelog.set_enabled tr true;
-  Tracelog.recordf tr ~category:"t" "x=%d y=%s" 2 "z";
-  check_int "enabled records" 1 (Tracelog.total_recorded tr);
-  match Tracelog.events tr with
-  | [ e ] -> check_string "formatted" "x=2 y=z" e.Tracelog.detail
-  | _ -> Alcotest.fail "expected one event"
-
 (* ------------------------------------------------------------- wiring --- *)
 
 let test_cluster_wiring () =
@@ -446,7 +432,6 @@ let () =
           Alcotest.test_case "roundtrip all constructors" `Quick
             test_trace_roundtrip_all_constructors;
           Alcotest.test_case "virtual timestamps" `Quick test_trace_timestamps;
-          Alcotest.test_case "lazy recordf" `Quick test_tracelog_lazy;
         ] );
       ( "spans",
         [

@@ -161,44 +161,6 @@ let test_table_width_mismatch () =
   Alcotest.check_raises "row width" (Invalid_argument "Table.add_row: row width mismatch")
     (fun () -> Table.add_row t [ "1" ])
 
-(* -------------------------------------------------------------- Tracelog *)
-
-let test_tracelog_order () =
-  let tr = Tracelog.create ~capacity:8 () in
-  for i = 1 to 5 do
-    Tracelog.recordf tr ~category:"t" "event %d" i
-  done;
-  let evs = Tracelog.events tr in
-  check_int "five events" 5 (List.length evs);
-  check (Alcotest.list Alcotest.int) "oldest first" [ 0; 1; 2; 3; 4 ]
-    (List.map (fun e -> e.Tracelog.seq) evs);
-  check Alcotest.string "detail" "event 3"
-    (List.nth evs 2).Tracelog.detail
-
-let test_tracelog_ring_wraps () =
-  let tr = Tracelog.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Tracelog.recordf tr ~category:"t" "e%d" i
-  done;
-  let evs = Tracelog.events tr in
-  check_int "only capacity retained" 4 (List.length evs);
-  check_int "total counted" 10 (Tracelog.total_recorded tr);
-  check (Alcotest.list Alcotest.string) "last four, oldest first"
-    [ "e7"; "e8"; "e9"; "e10" ]
-    (List.map (fun e -> e.Tracelog.detail) evs);
-  check_int "recent 2" 2 (List.length (Tracelog.recent tr 2))
-
-let test_tracelog_disable_clear () =
-  let tr = Tracelog.create () in
-  Tracelog.set_enabled tr false;
-  Tracelog.record tr ~category:"t" "ignored";
-  check_int "disabled records nothing" 0 (Tracelog.length tr);
-  Tracelog.set_enabled tr true;
-  Tracelog.record tr ~category:"t" "kept";
-  check_int "enabled records" 1 (Tracelog.length tr);
-  Tracelog.clear tr;
-  check_int "cleared" 0 (Tracelog.length tr)
-
 (* ------------------------------------------------------------------- Ids *)
 
 let test_ids () =
@@ -241,12 +203,6 @@ let () =
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "width mismatch" `Quick test_table_width_mismatch;
-        ] );
-      ( "tracelog",
-        [
-          Alcotest.test_case "ordering" `Quick test_tracelog_order;
-          Alcotest.test_case "ring wraps" `Quick test_tracelog_ring_wraps;
-          Alcotest.test_case "disable and clear" `Quick test_tracelog_disable_clear;
         ] );
       ("ids", [ Alcotest.test_case "generators and printing" `Quick test_ids ]);
     ]
