@@ -340,7 +340,7 @@ let make_twin () =
 let prop_delta_scope_matches_full =
   QCheck.Test.make ~name:"delta reconcile scope = full reconcile scope"
     ~count:300 arb_rops (fun ops ->
-      let ((cd, b, tb, es, ts) as _d) = make_twin () in
+      let cd, b, tb, es, ts = make_twin () in
       let cf, _, _, _, _ = make_twin () in
       let fail fmt = QCheck.Test.fail_reportf fmt in
       let inter_stub i =
